@@ -15,12 +15,10 @@ Exit codes: 0 all records pass (or inapplicable), 1 at least one fail,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 
@@ -43,7 +41,8 @@ EXIT_SHAPE = 3
 EXIT_NUMERIC = 4
 
 HYPOTHESIS_KEYS = ("ricci_min", "convexity_min", "free_boundary_pos",
-                   "free_boundary_angle", "half_ball")
+                   "free_boundary_angle", "half_ball", "min_weight",
+                   "substatic_min")
 
 
 class ConfigError(ValueError):
@@ -257,15 +256,17 @@ def run_suite_on_shape(suite: str, immersion, args) -> list[dict]:
                 check.status = "inapplicable"
             add(check)
     elif suite == "cor-lowdim":
+        if not fn.unit_euclidean_ball(immersion):
+            raise ConfigError("cor-lowdim applies to the unit Euclidean ball; "
+                              "pass --K 0 --radius 1")
         add(fn.check_corollary_low_dim(immersion, quad, args.case,
                                        rel_tol=args.rel_tol))
     elif suite == "perez":
-        for formulation in (1, 2):
-            add(fn.check_perez(immersion, quad, formulation,
-                               rel_tol=args.rel_tol))
+        c1, c2 = (fn.check_perez(immersion, quad, formulation, rel_tol=args.rel_tol)
+                  for formulation in (1, 2))
+        add(c1)
+        add(c2)
         # linkage of the two formulations
-        c1 = fn.check_perez(immersion, quad, 1)
-        c2 = fn.check_perez(immersion, quad, 2)
         linked = c1.lhs / immersion.n + c1.extra["hring2"]
         resid = abs(c2.lhs - linked) / max(1.0, abs(c2.lhs))
         add(residual_check("perez-equivalence", resid, 1e-10, c1.hypotheses))
@@ -278,10 +279,16 @@ def run_suite_on_shape(suite: str, immersion, args) -> list[dict]:
                                          name="kwong"))
     elif suite == "reilly":
         pot = axis_potential(immersion)
+        hyp = fn.hypothesis_report(immersion, quad, pot)
         for k in _k_range(args, immersion.n):
+            if not hyp["half_ball"]:
+                # no auxiliary problem to solve without a positive weight
+                add(fn.InequalityCheck(name="proof-chain", k=k, lhs=math.nan,
+                                       rhs=math.nan, direction="le",
+                                       hypotheses=hyp).finalize(False))
+                continue
             rep = reilly.proof_chain_check(immersion, pot, k, quad,
                                            n_cells=args.cells)
-            hyp = fn.hypothesis_report(immersion, quad, pot)
             check = fn.InequalityCheck(
                 name="proof-chain", k=k, lhs=rep.final_lhs, rhs=rep.final_rhs,
                 direction="le", hypotheses=hyp, rel_tol=args.rel_tol,
@@ -336,14 +343,8 @@ def run_suite(args) -> tuple[dict, int]:
         print(f"shape construction failed: {exc}", file=sys.stderr)
         return {}, EXIT_SHAPE
 
-    workers = int(os.environ.get("FREEFORM_THREADS", "0")) or min(8, len(shapes))
     try:
-        if workers > 1 and len(shapes) > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                per_shape = list(pool.map(
-                    lambda s: run_suite_on_shape(args.suite, s, args), shapes))
-        else:
-            per_shape = [run_suite_on_shape(args.suite, s, args) for s in shapes]
+        per_shape = [run_suite_on_shape(args.suite, s, args) for s in shapes]
     except ConfigError:
         raise
     except Exception as exc:
@@ -468,14 +469,13 @@ def cmd_describe(args) -> int:
         data = geo.surface_data(shape, quad)
         hyp = fn.hypothesis_report(shape, quad, axis_potential(shape)
                                    if not shape.closed else None)
-        kappas = np.concatenate([fr.kappa for fr in data.frames])
         doc = {
             "shape": geo.shape_to_json(shape),
             "n": shape.n,
             "K": shape.space_form.K,
             "area": data.area,
             "boundary_measure": shape.boundary_measure(),
-            "kappa_range": [float(kappas.min()), float(kappas.max())],
+            "kappa_range": [float(data.kappa.min()), float(data.kappa.max())],
             "average_H": {str(k): fn.average_hk(shape, quad, k)
                           for k in range(1, shape.n)},
             "non_umbilicity": geo.non_umbilicity(shape, quad),

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dfield
-from typing import Callable
 
 import numpy as np
 
 from . import geometry as geo
 from . import symalg
-from .geometry import (Immersion, PointFrame, QuadratureSpec, boundary_data,
+from .geometry import (Immersion, PointFrame, QuadratureSpec, SurfaceData,
                        surface_data, sphere_area)
 from .spaceform import BallDomain, Potential, SpaceForm
 
@@ -89,12 +88,7 @@ def hk_value(frame: PointFrame, k: int) -> float:
 
 def traceless_newton_norm2(frame: PointFrame, k: int) -> float:
     """|T-ring_k|^2 in the metric norm (trace of the squared mixed tensor)."""
-    n = frame.g.shape[0]
-    W = frame.g_inv @ frame.h
-    T = symalg.newton_tensors(W, frame.g)[k]
-    Hk = float(symalg.mean_curvatures(frame.kappa)[k])
-    Tr = symalg.traceless_part(T, Hk, n, k)
-    return float(np.trace(Tr @ Tr))
+    return float(geo.norm2(geo.traceless_newton_tensors(frame)[k]))
 
 
 def weight_value(weight: Potential | None, frame: PointFrame) -> float:
@@ -104,6 +98,24 @@ def weight_value(weight: Potential | None, frame: PointFrame) -> float:
 def weight_normal_derivative(weight: Potential, frame: PointFrame) -> float:
     """V_nu = metric gradient of V paired with the unit normal."""
     return float(np.dot(weight.grad(frame.x), frame.nu_flat)) / frame.e_u
+
+
+def _node_weights(weight: Potential | None, data: SurfaceData) -> np.ndarray:
+    """The weight at every node of ``data`` (ones when unweighted)."""
+    if weight is None:
+        return np.ones(len(data.weights))
+    return np.array([weight.value(x) for x in data.x])
+
+
+def _umbilic(data: SurfaceData) -> bool:
+    return all(symalg.is_umbilic(kappa) for kappa in data.kappa)
+
+
+def unit_euclidean_ball(immersion: Immersion) -> bool:
+    """True iff the shape sits in the unit ball of Euclidean space."""
+    ball = immersion.ball
+    return immersion.space_form.K == 0 and ball is not None \
+        and abs(ball.R_model - 1.0) <= 1e-12
 
 
 def _data(immersion: Immersion, quad: QuadratureSpec, weight: Potential | None,
@@ -124,45 +136,45 @@ def _data(immersion: Immersion, quad: QuadratureSpec, weight: Potential | None,
 # averages and the main inequality
 
 
+def _average(values: np.ndarray, V: np.ndarray, data: SurfaceData) -> float:
+    """Average of node values against the weight V dA; V must be positive."""
+    if np.any(V <= 0.0):
+        raise NonpositiveWeightError("weight nonpositive on the hypersurface")
+    return float(np.sum(V * values * data.weights) / np.sum(V * data.weights))
+
+
 def average_hk(immersion: Immersion, quad: QuadratureSpec, k: int,
                weight: Potential | None = None) -> float:
     """(possibly weighted) average of H_k over the hypersurface."""
     data = _data(immersion, quad, weight)
-    num = den = 0.0
-    for fr in data.frames:
-        w = weight_value(weight, fr)
-        if w <= 0.0 and weight is not None:
-            raise NonpositiveWeightError("weight nonpositive on the hypersurface")
-        num += w * hk_value(fr, k) * fr.weight
-        den += w * fr.weight
-    return num / den
+    return _average(data.H[:, k], _node_weights(weight, data), data)
 
 
 def hypothesis_report(immersion: Immersion, quad: QuadratureSpec,
                       weight: Potential | None = None) -> dict:
-    """Diagnostics entering the hypothesis gates of the theorems."""
+    """Diagnostics entering the hypothesis gates of the theorems.
+
+    The weight entries (``half_ball``, ``min_weight``, ``substatic_min``)
+    are None when unweighted, so the keys are the same either way.
+    """
     data = _data(immersion, quad, weight)
-    K = immersion.space_form.K
-    ric = min(geo.ricci_min(fr, K) for fr in data.frames)
-    conv = min(float(fr.kappa.min()) for fr in data.frames)
     if immersion.closed:
         fb_pos = fb_ang = 0.0
     else:
         fb_pos, fb_ang = geo.free_boundary_residual(immersion, immersion.ball)
-    rep = {"ricci_min": ric, "convexity_min": conv,
+    rep = {"ricci_min": float(data.min_ricci.min()),
+           "convexity_min": float(data.kappa.min()),
            "free_boundary_pos": fb_pos, "free_boundary_angle": fb_ang,
-           "half_ball": None, "substatic_min": None}
+           "half_ball": None, "substatic_min": None, "min_weight": None}
     if weight is not None:
-        vmin = math.inf
+        V = _node_weights(weight, data)
         ssmin = math.inf
-        for fr in data.frames:
-            v = weight_value(weight, fr)
-            vmin = min(vmin, v)
+        for fr, v in zip(data.frames, V):
             vn = weight_normal_derivative(weight, fr)
             M = symalg.substatic_tensor(fr.h, fr.g, v, vn)
             ssmin = min(ssmin, float(np.linalg.eigvalsh(M).min()))
-        rep["half_ball"] = bool(vmin > 0.0)
-        rep["min_weight"] = vmin
+        rep["half_ball"] = bool(V.min() > 0.0)
+        rep["min_weight"] = float(V.min())
         rep["substatic_min"] = ssmin
     return rep
 
@@ -176,21 +188,22 @@ def check_main_inequality(immersion: Immersion, quad: QuadratureSpec, k: int,
 
     lhs = int w (H_k - avg)^2, rhs = n(n-1)/(n-k)^2 int w |T-ring_k|^2.
     A violated hypothesis marks the check inapplicable, never failed.
+    Where the weight is not positive (no half ball) the weighted average
+    is undefined and both sides are NaN.
     """
     n = immersion.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in 1..{n - 1}, got {k}")
     data = _data(immersion, quad, weight)
     hyp = hypothesis_report(immersion, quad, weight)
-    avg = average_hk(immersion, quad, k, weight)
-    lhs = rhs = 0.0
-    umbilic = True
-    for fr in data.frames:
-        w = weight_value(weight, fr)
-        lhs += w * (hk_value(fr, k) - avg) ** 2 * fr.weight
-        rhs += w * traceless_newton_norm2(fr, k) * fr.weight
-        umbilic = umbilic and symalg.is_umbilic(fr.kappa)
-    rhs *= n * (n - 1) / (n - k) ** 2
+    if weight is not None and not hyp["half_ball"]:
+        lhs = rhs = math.nan
+    else:
+        V = _node_weights(weight, data)
+        Hk = data.H[:, k]
+        lhs = float(np.sum(V * (Hk - _average(Hk, V, data)) ** 2 * data.weights))
+        rhs = n * (n - 1) / (n - k) ** 2 \
+            * float(np.sum(V * data.traceless_norm2[:, k] * data.weights))
     if weight is None:
         hyp_ok = hyp["ricci_min"] >= -GATE_TOL
         default_name = "thm-main-unweighted"
@@ -202,7 +215,7 @@ def check_main_inequality(immersion: Immersion, quad: QuadratureSpec, k: int,
             and hyp["free_boundary_angle"] <= geo.ANGLE_TOL
     check = InequalityCheck(name=name or default_name, k=k, lhs=lhs, rhs=rhs,
                             direction="le", hypotheses=hyp,
-                            equality_expected=umbilic,
+                            equality_expected=_umbilic(data),
                             rel_tol=rel_tol, abs_tol=abs_tol)
     return check.finalize(hyp_ok)
 
@@ -226,16 +239,12 @@ def check_perez(immersion: Immersion, quad: QuadratureSpec,
         raise ValueError("flat ambient space required")
     n = immersion.n
     data = surface_data(immersion, quad)
-    area = data.area
-    Hbar = data.integrate(lambda fr: float(fr.kappa.sum())) / area
-
-    def ring2(fr):
-        W = fr.g_inv @ fr.h
-        Wr = W - (float(fr.kappa.sum()) / n) * np.eye(n)
-        return float(np.trace(Wr @ Wr))
-
-    hring = data.integrate(ring2)
-    dev = data.integrate(lambda fr: (float(fr.kappa.sum()) - Hbar) ** 2)
+    H = data.H[:, 1]
+    Hbar = float(np.sum(H * data.weights)) / data.area
+    # |h-ring|^2 is the squared spread of the principal curvatures about H/n
+    ring2 = np.sum((data.kappa - H[:, None] / n) ** 2, axis=1)
+    hring = float(np.sum(ring2 * data.weights))
+    dev = float(np.sum((H - Hbar) ** 2 * data.weights))
     rhs = n / (n - 1) * hring
     if formulation == 1:
         lhs = dev
@@ -243,10 +252,9 @@ def check_perez(immersion: Immersion, quad: QuadratureSpec,
         # |h - (Hbar/n) g|^2 = |h-ring|^2 + (H - Hbar)^2 / n
         lhs = hring + dev / n
     hyp = hypothesis_report(immersion, quad)
-    umbilic = all(symalg.is_umbilic(fr.kappa) for fr in data.frames)
     check = InequalityCheck(name=f"perez-{formulation}", k=1, lhs=lhs, rhs=rhs,
                             direction="le", hypotheses=hyp,
-                            equality_expected=umbilic,
+                            equality_expected=_umbilic(data),
                             rel_tol=rel_tol, abs_tol=abs_tol,
                             extra={"deviation": dev, "hring2": hring})
     return check.finalize(hyp["ricci_min"] >= -GATE_TOL)
@@ -279,22 +287,21 @@ def quermassintegrals(immersion: Immersion, quad: QuadratureSpec,
                       convexity_tol: float = GATE_TOL) -> Quermass:
     """W_0..W_3 of a convex rotationally symmetric free-boundary shape
     in the unit Euclidean ball."""
-    sf = immersion.space_form
-    if sf.K != 0 or immersion.ball is None or abs(immersion.ball.R_model - 1.0) > 1e-12:
+    if not unit_euclidean_ball(immersion):
         raise ValueError("quermassintegrals need the unit Euclidean ball")
     if not immersion.symmetric:
         raise ValueError("rotationally symmetric shape required")
     n = immersion.n
     data = surface_data(immersion, quad)
-    if min(float(fr.kappa.min()) for fr in data.frames) < -convexity_tol:
+    if data.kappa.min() < -convexity_tol:
         raise ValueError("convex shape required")
     area = data.area
     boundary = immersion.boundary_measure()
-    int_H = {k: data.integrate(lambda fr, k=k: hk_value(fr, k)) for k in range(0, n + 1)}
+    int_H = {k: float(np.sum(data.H[:, k] * data.weights)) for k in range(0, n + 1)}
     # lid: part of the unit sphere above the contact orbit
     z1 = float(np.dot(immersion.map(immersion._generic_point(1.0)), immersion.axis))
     lid = _lid_measure(n, z1)
-    support = data.integrate(lambda fr: float(np.dot(fr.x, fr.nu_flat)))
+    support = float(np.sum(np.einsum("ai,ai->a", data.x, data.nu_flat) * data.weights))
     volume = (support + lid) / (n + 1)
     W = [volume, area / (n + 1), None, None]
     W[2] = int_H[1] / (n * (n + 1)) + lid / ((n + 1) * n)
@@ -356,11 +363,14 @@ def check_corollary_low_dim(immersion: Immersion, quad: QuadratureSpec,
                             abs_tol: float = DEFAULT_ABS_TOL) -> InequalityCheck:
     """Composite low-dimensional inequalities for convex free-boundary
     shapes in the unit Euclidean ball: case "i" (n=2) against 2 pi, case
-    "ii" (n=3) against the composed cap functions."""
+    "ii" (n=3) against the composed cap functions.  Raises ValueError
+    outside the unit Euclidean ball, where the corollary is not stated."""
+    if not unit_euclidean_ball(immersion):
+        raise ValueError("the low-dimensional corollary needs the unit Euclidean ball")
     n = immersion.n
     data = surface_data(immersion, quad)
     area = data.area
-    int_H = data.integrate(lambda fr: float(fr.kappa.sum()))
+    int_H = float(np.sum(data.H[:, 1] * data.weights))
     boundary = immersion.boundary_measure()
     hyp = hypothesis_report(immersion, quad)
     hyp_ok = hyp["convexity_min"] >= -GATE_TOL \
@@ -378,10 +388,9 @@ def check_corollary_low_dim(immersion: Immersion, quad: QuadratureSpec,
         rhs = cap_function(3, r_star, n, quad)
     else:
         raise ValueError(f"unknown case {which!r}")
-    umbilic = all(symalg.is_umbilic(fr.kappa) for fr in data.frames)
     check = InequalityCheck(name=f"cor-lowdim-{which}", k=1, lhs=lhs, rhs=rhs,
                             direction="ge", hypotheses=hyp,
-                            equality_expected=umbilic,
+                            equality_expected=_umbilic(data),
                             rel_tol=rel_tol, abs_tol=abs_tol)
     return check.finalize(hyp_ok)
 
@@ -422,8 +431,7 @@ def divergence_free_check(immersion: Immersion, quad: QuadratureSpec, m: int,
     fd_step = 1e-5
 
     def hm_at(p: np.ndarray) -> float:
-        fr = geo.frame_at(immersion, immersion.space_form, p)
-        return float(symalg.mean_curvatures(fr.kappa)[m])
+        return hk_value(geo.frame_at(immersion, immersion.space_form, p), m)
 
     def fields(fr: PointFrame) -> list[tuple[np.ndarray, np.ndarray]]:
         """(X, dX) pairs at a frame; dX[i, j] = d_i X^j."""
@@ -448,11 +456,8 @@ def divergence_free_check(immersion: Immersion, quad: QuadratureSpec, m: int,
     res_div = np.zeros(n_fields)
     res_trace = np.zeros(n_fields)
     scale = 0.0
-    for fr in data.frames:
-        W = fr.g_inv @ fr.h
-        T = symalg.newton_tensors(W, fr.g)[m]
-        Hm = float(symalg.mean_curvatures(fr.kappa)[m])
-        Tr = symalg.traceless_part(T, Hm, n, m)
+    for fr, Tr, Hm in zip(data.frames, data.traceless_newton[:, m], data.H[:, m]):
+        T = Tr + ((n - m) * Hm / n) * np.eye(n)
         Gamma = geo.christoffels(immersion, immersion.space_form, fr)
         scale = max(scale, float(np.abs(T).max()))
         dHm = np.zeros(n)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -311,20 +312,11 @@ class PointFrame:
     g_inv: np.ndarray
     h: np.ndarray          # second fundamental form (conformal units)
     nu_flat: np.ndarray    # flat unit normal
-    nu: np.ndarray         # metric-unit normal, model components
     kappa: np.ndarray      # principal curvatures
     sqrt_det_g: float
     e_u: float             # conformal factor e^{u}
     weight: float = 0.0    # set by quadrature assembly
     Gamma: np.ndarray | None = None  # Christoffel symbols, filled lazily
-
-    @property
-    def dA(self) -> float:
-        return self.weight
-
-    @property
-    def H(self) -> float:
-        return float(np.trace(self.g_inv @ self.h))
 
 
 def frame_at(immersion, space_form: SpaceForm, p: np.ndarray) -> PointFrame:
@@ -349,7 +341,7 @@ def frame_at(immersion, space_form: SpaceForm, p: np.ndarray) -> PointFrame:
     kappa = symalg.principal_curvatures(h, g)
     sqrt_det_g = eu ** immersion.n * math.sqrt(max(np.linalg.det(gf), 0.0))
     return PointFrame(p=p, x=x, J=J, gf=gf, g=g, g_inv=g_inv, h=h,
-                      nu_flat=Nf, nu=Nf / eu, kappa=kappa,
+                      nu_flat=Nf, kappa=kappa,
                       sqrt_det_g=sqrt_det_g, e_u=eu)
 
 
@@ -369,18 +361,17 @@ def christoffels(immersion, space_form: SpaceForm, frame: PointFrame) -> np.ndar
     """Christoffel symbols Gamma^l_ij of the induced metric at a frame."""
     if frame.Gamma is not None:
         return frame.Gamma
-    n = immersion.n
     dg = metric_derivatives(immersion, space_form, frame)
-    Gamma = np.empty((n, n, n))
-    for l in range(n):
-        for i in range(n):
-            for j in range(n):
-                s = 0.0
-                for k in range(n):
-                    s += frame.g_inv[l, k] * (dg[i, k, j] + dg[j, k, i] - dg[k, i, j])
-                Gamma[l, i, j] = 0.5 * s
-    frame.Gamma = Gamma
-    return Gamma
+    frame.Gamma = christoffel_symbols(frame.g_inv, dg)
+    return frame.Gamma
+
+
+def christoffel_symbols(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma^l_ij = (1/2) g^{lk} (d_i g_kj + d_j g_ki - d_k g_ij) of any
+    metric, from its inverse and dg[k, i, j] = d_k g_ij."""
+    return 0.5 * (np.einsum("lk,ikj->lij", g_inv, dg)
+                  + np.einsum("lk,jki->lij", g_inv, dg)
+                  - np.einsum("lk,kij->lij", g_inv, dg))
 
 
 def ricci_tensor(frame: PointFrame, K: int) -> np.ndarray:
@@ -395,6 +386,21 @@ def ricci_min(frame: PointFrame, K: int) -> float:
     """Smallest eigenvalue of the Ricci tensor relative to the metric."""
     ric_on = symalg.to_orthonormal(ricci_tensor(frame, K), frame.g, mixed=False)
     return float(np.linalg.eigvalsh(ric_on).min())
+
+
+def traceless_newton_tensors(frame: PointFrame) -> np.ndarray:
+    """Traceless Newton tensors T-ring_m for m = 0..n-1 at a frame, mixed
+    components stacked as (n, n, n)."""
+    n = frame.g.shape[0]
+    H = symalg.mean_curvatures(frame.kappa)
+    T = symalg.newton_tensors(frame.g_inv @ frame.h, frame.g)
+    return np.array([symalg.traceless_part(T[m], H[m], n, m) for m in range(n)])
+
+
+def norm2(T: np.ndarray) -> np.ndarray:
+    """Metric norm |T|^2 = tr(T T) of self-adjoint mixed tensors, taken
+    over the last two axes."""
+    return np.einsum("...ij,...ji->...", T, T)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +431,15 @@ class QuadratureSpec:
 
 
 class SurfaceData:
-    """Frames and quadrature weights for one immersion.
+    """Frames, quadrature weights and per-node surface quantities for one
+    immersion.
 
     ``full=False`` evaluates on the 1D profile with the orbit measure
     folded into the weights (symmetric integrands only); ``full=True``
-    builds the tensor-product chart grid (n=2 only).
+    builds the tensor-product chart grid (n=2 only).  Node arrays are
+    stacked along the first axis: ``x`` and ``nu_flat`` (N, n+1),
+    ``kappa`` (N, n) and ``H`` (N, n+1) with H[:, k] = H_k; integrals are
+    weighted sums against ``weights``.
     """
 
     def __init__(self, immersion: Immersion, quad: QuadratureSpec, full: bool = False):
@@ -460,14 +470,30 @@ class SurfaceData:
                 fr.weight = a * immersion.area_density(t) * orbit
                 self.frames.append(fr)
         self.weights = np.array([fr.weight for fr in self.frames])
-
-    def integrate(self, func: Callable[[PointFrame], float]) -> float:
-        vals = np.array([func(fr) for fr in self.frames])
-        return float(np.sum(vals * self.weights))
+        self.x = np.array([fr.x for fr in self.frames])
+        self.nu_flat = np.array([fr.nu_flat for fr in self.frames])
+        self.kappa = np.array([fr.kappa for fr in self.frames])
+        self.H = symalg.mean_curvatures(self.kappa)
 
     @property
     def area(self) -> float:
         return float(np.sum(self.weights))
+
+    @cached_property
+    def min_ricci(self) -> np.ndarray:
+        """Smallest Ricci eigenvalue at every node, (N,)."""
+        K = self.space_form.K
+        return np.array([ricci_min(fr, K) for fr in self.frames])
+
+    @cached_property
+    def traceless_newton(self) -> np.ndarray:
+        """T-ring_m at every node, (N, n, n, n) indexed [node, m]."""
+        return np.array([traceless_newton_tensors(fr) for fr in self.frames])
+
+    @cached_property
+    def traceless_norm2(self) -> np.ndarray:
+        """|T-ring_m|^2 at every node, (N, n) indexed [node, m]."""
+        return norm2(self.traceless_newton)
 
 
 def surface_data(immersion: Immersion, quad: QuadratureSpec, full: bool = False) -> SurfaceData:
@@ -505,27 +531,12 @@ class BoundaryData:
             self.frames = [fr]
             self.weights = np.array([fr.weight])
 
-    def integrate(self, func: Callable[[PointFrame], float]) -> float:
-        vals = np.array([func(fr) for fr in self.frames])
-        return float(np.sum(vals * self.weights))
-
 
 def boundary_data(immersion: Immersion, quad: QuadratureSpec, full: bool = False) -> BoundaryData:
     key = ("bdry", quad.order, quad.level, full)
     if key not in immersion._cache:
         immersion._cache[key] = BoundaryData(immersion, quad, full)
     return immersion._cache[key]
-
-
-def integrate(immersion: Immersion, quad: QuadratureSpec,
-              integrand: Callable[[PointFrame], float], full: bool = False) -> float:
-    """Integral of a pointwise functional over the hypersurface."""
-    return surface_data(immersion, quad, full).integrate(integrand)
-
-
-def boundary_integrate(immersion: Immersion, quad: QuadratureSpec,
-                       integrand: Callable[[PointFrame], float], full: bool = False) -> float:
-    return boundary_data(immersion, quad, full).integrate(integrand)
 
 
 # ---------------------------------------------------------------------------
@@ -621,23 +632,17 @@ def principal_conormal_check(immersion: Immersion, ball: BallDomain,
 
 def non_umbilicity(immersion: Immersion, quad: QuadratureSpec) -> float:
     """Max principal-curvature spread over quadrature nodes."""
-    data = surface_data(immersion, quad)
-    worst = 0.0
-    for fr in data.frames:
-        mean = float(fr.kappa.mean())
-        worst = max(worst, float(fr.kappa.max() - fr.kappa.min()) / (1.0 + abs(mean)))
-    return worst
+    kappa = surface_data(immersion, quad).kappa
+    spread = kappa.max(axis=1) - kappa.min(axis=1)
+    return float(np.max(spread / (1.0 + np.abs(kappa.mean(axis=1)))))
 
 
 def convexity_min(immersion: Immersion, quad: QuadratureSpec) -> float:
-    data = surface_data(immersion, quad)
-    return min(float(fr.kappa.min()) for fr in data.frames)
+    return float(surface_data(immersion, quad).kappa.min())
 
 
 def ricci_min_over(immersion: Immersion, quad: QuadratureSpec) -> float:
-    data = surface_data(immersion, quad)
-    K = immersion.space_form.K
-    return min(ricci_min(fr, K) for fr in data.frames)
+    return float(surface_data(immersion, quad).min_ricci.min())
 
 
 # ---------------------------------------------------------------------------
@@ -672,16 +677,10 @@ def make_flat_disk(space_form: SpaceForm, ball: BallDomain,
     params = {"n": n}
     if normal is not None:
         params["normal"] = list(np.asarray(normal, dtype=float))
-    imm = Immersion(n, space_form, ball, r, z, "disk", params, axis=normal,
-                    orientation_hint=None)
-    # orientation hint: disk normal along the axis
-    hint = imm.Q @ np.concatenate([np.zeros(n), [1.0]])
-    imm._sign = 1.0
-    fr = frame_at(imm, space_form, imm._generic_point(0.5))
-    if float(np.dot(fr.nu_flat, hint)) < 0:
-        imm._sign = -1.0
-        imm._cache.clear()
-    return imm
+    # H = 0 on the disk, so the hint alone orients it: normal along the axis
+    hint = np.eye(n + 1)[-1] if normal is None else np.asarray(normal, dtype=float)
+    return Immersion(n, space_form, ball, r, z, "disk", params, axis=normal,
+                     orientation_hint=hint)
 
 
 def make_profile_shape(space_form: SpaceForm, ball: BallDomain, rho: float,

@@ -195,16 +195,7 @@ def boundary_calculus(immersion: Immersion, fr: PointFrame,
 
     # boundary Christoffels from the angular block of the metric derivative
     dg = geo.metric_derivatives(immersion, immersion.space_form, fr)
-    m = n - 1
-    Gam_b = np.empty((m, m, m))
-    dgb = dg[1:, 1:, 1:]
-    for l in range(m):
-        for i in range(m):
-            for j in range(m):
-                s = 0.0
-                for k in range(m):
-                    s += g_tan_inv[l, k] * (dgb[i, k, j] + dgb[j, k, i] - dgb[k, i, j])
-                Gam_b[l, i, j] = 0.5 * s
+    Gam_b = geo.christoffel_symbols(g_tan_inv, dg[1:, 1:, 1:])
     # with boundary Christoffels of the induced slice metric, the chart
     # second derivatives already give the intrinsic boundary Hessian
     hess_tan = ddf[1:, 1:] - np.einsum("kij,k->ij", Gam_b, df[1:])
@@ -470,7 +461,6 @@ def proof_chain_check(immersion: Immersion, potential: Potential | None, k: int,
     terms, and (c) the Cauchy-Schwarz assembly of the final bound.
     """
     n = immersion.n
-    sf = immersion.space_form
     if potential is None:
         V = ChartField(lambda p: 1.0, lambda p: np.zeros(n),
                        lambda p: np.zeros((n, n)))
@@ -478,43 +468,30 @@ def proof_chain_check(immersion: Immersion, potential: Potential | None, k: int,
         V = ChartField.from_potential(immersion, potential)
 
     data = geo.surface_data(immersion, quad, full=False)
+    vs = np.array([V.value(fr.p) for fr in data.frames])
+    Hk, w = data.H[:, k], data.weights
+    hbar = float(np.sum(vs * Hk * w) / np.sum(vs * w))
+    pairing_lhs = float(np.sum(vs * (Hk - hbar) ** 2 * w))
+    final_rhs_int = float(np.sum(vs * data.traceless_norm2[:, k] * w))
 
-    def hk(fr: PointFrame) -> float:
-        return float(symalg.mean_curvatures(fr.kappa)[k])
-
-    num = sum(V.value(fr.p) * hk(fr) * fr.weight for fr in data.frames)
-    den = sum(V.value(fr.p) * fr.weight for fr in data.frames)
-    hbar = num / den
-
-    neumann = solve_neumann(immersion, V, lambda fr: hk(fr) - hbar, n_cells=n_cells)
+    neumann = solve_neumann(
+        immersion, V, lambda fr: float(symalg.mean_curvatures(fr.kappa)[k]) - hbar,
+        n_cells=n_cells)
     f = neumann.field
 
-    pairing_lhs = 0.0
     pairing_rhs = 0.0
     trace_lhs = 0.0
     trace_rhs = 0.0
-    final_rhs_int = 0.0
-    for fr in data.frames:
-        v = V.value(fr.p)
-        dev = hk(fr) - hbar
-        pairing_lhs += v * dev**2 * fr.weight
-
+    for fr, v, T0 in zip(data.frames, vs, data.traceless_newton[:, k]):
         fhess = f.hessian(immersion, fr)
         vhess = V.hessian(immersion, fr)
         A = fr.g_inv @ (fhess - (vhess / v) * f.value(fr.p))
         trA = float(np.trace(A))
         A0 = A - (trA / n) * np.eye(n)
 
-        Wsh = fr.g_inv @ fr.h
-        T = symalg.newton_tensors(Wsh, fr.g)[k]
-        Hk = float(symalg.mean_curvatures(fr.kappa)[k])
-        T0 = symalg.traceless_part(T, Hk, n, k)
-
         pairing_rhs += -v * float(np.trace(T0 @ A0)) * fr.weight * n / (n - k)
         trace_lhs += v * float(np.trace(A0 @ A0)) * fr.weight
         trace_rhs += (n - 1) / n * v * trA**2 * fr.weight
-        T0_on = symalg.to_orthonormal(T0, fr.g, mixed=True)
-        final_rhs_int += v * float(np.sum(T0_on * T0_on)) * fr.weight
 
     ledger = reilly_residual(immersion, V, f, quad, full=False)
     discarded = ledger.bulk_substatic + ledger.boundary_h + ledger.boundary_HN

@@ -186,10 +186,6 @@ class Potential:
         return -4.0 * phi**2 * (ax + ax.T + xa * eye) + 16.0 * xa * phi**3 * xx
 
 
-def potential_value(potential: Potential, x: np.ndarray) -> float:
-    return potential.value(x)
-
-
 def half_ball_membership(potential: Potential, ball: BallDomain, x: np.ndarray,
                          tol: float = 1e-10) -> bool:
     """True iff x lies in the closed ball and on the V_a > 0 side."""

@@ -4,7 +4,7 @@ Elementary symmetric mean curvatures H_k, Newton tensors T_m and their
 traceless parts, Garding cones, the Newton-MacLaurin inequality and the
 sub-static tensor factorization.  Everything here acts on a single point:
 a shape operator with its metric, or just the vector of principal
-curvatures.
+curvatures (``mean_curvatures`` also takes a stack of them).
 """
 
 from __future__ import annotations
@@ -31,13 +31,15 @@ def mean_curvatures(kappa: np.ndarray) -> np.ndarray:
 
     Uses the coefficient recurrence of prod_i (1 + kappa_i t), which is
     O(n^2) and stable; the subset-sum definition is kept as a test oracle.
+    Stacked input of shape (..., n) gives one row of shape (..., n+1) per
+    curvature vector.
     """
     kappa = np.asarray(kappa, dtype=float)
-    n = kappa.size
-    H = np.zeros(n + 1)
-    H[0] = 1.0
+    n = kappa.shape[-1]
+    H = np.zeros(kappa.shape[:-1] + (n + 1,))
+    H[..., 0] = 1.0
     for i in range(n):
-        H[1:i + 2] = H[1:i + 2] + kappa[i] * H[0:i + 1]
+        H[..., 1:i + 2] = H[..., 1:i + 2] + kappa[..., i, None] * H[..., 0:i + 1]
     return H
 
 

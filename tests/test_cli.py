@@ -47,8 +47,7 @@ def test_verify_disks(capsys):
     assert all(rec["shape"]["kind"] == "disk" for rec in doc["records"])
 
 
-def test_verify_perturbed_deterministic(capsys, monkeypatch):
-    monkeypatch.setenv("FREEFORM_THREADS", "2")
+def test_verify_perturbed_deterministic(capsys):
     argv = ["verify", "thm1", "--family", "perturbed", "--count", "2",
             "--seed", "7", "--K", "0", "--k", "1"]
     code1, out1, _ = run(argv, capsys)
@@ -68,6 +67,30 @@ def test_verify_weighted_suite(capsys):
     doc = json.loads(out)
     assert all(rec["status"] in ("pass", "inapplicable")
                for rec in doc["records"])
+
+
+def test_thm4_records_carry_weight_gates(capsys):
+    code, out, _ = run(["verify", "thm4", "--family", "caps", "--count", "2",
+                        "--K", "all"], capsys)
+    assert code == cli.EXIT_PASS
+    for rec in json.loads(out)["records"]:
+        hyp = rec["hypotheses"]
+        assert isinstance(hyp["min_weight"], float) and hyp["min_weight"] > 0.0
+        assert isinstance(hyp["substatic_min"], float)
+
+
+@pytest.mark.parametrize("suite", ["thm4", "cor-convex", "reilly"])
+def test_weighted_suites_on_disk_inapplicable(suite, capsys):
+    """The disk lies in the zero set of V_a: gated, not a numerical failure."""
+    code, out, _ = run(["verify", suite, "--family", "disks", "--K", "0"], capsys)
+    assert code == cli.EXIT_PASS
+    doc = json.loads(out)
+    assert doc["records"]
+    for rec in doc["records"]:
+        assert rec["status"] == "inapplicable"
+        assert rec["lhs"] is None and rec["rhs"] is None
+        assert rec["hypotheses"]["half_ball"] is False
+        assert rec["hypotheses"]["min_weight"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_verify_perez_and_kwong(capsys):
@@ -236,6 +259,14 @@ def test_cor_convex_requires_flat(capsys):
     code, _, _ = run(["verify", "cor-convex", "--family", "caps",
                       "--count", "1", "--K", "1"], capsys)
     assert code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("extra", [["--K", "1"], ["--K", "0", "--radius", "0.8"]])
+def test_cor_lowdim_requires_unit_euclidean_ball(extra, capsys):
+    code, _, err = run(["verify", "cor-lowdim", "--family", "caps",
+                        "--count", "2", *extra], capsys)
+    assert code == cli.EXIT_CONFIG
+    assert "unit Euclidean ball" in err
 
 
 def test_cor_lowdim_cases(capsys):

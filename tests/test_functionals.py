@@ -73,8 +73,48 @@ def test_main_inequality_weighted_sign_flip_inapplicable():
     """With -a the weight is negative somewhere: gated, not failed."""
     shape = perturbed(eps=0.02)
     flipped = Potential(shape.space_form, -shape.axis)
+    check = fn.check_main_inequality(shape, QUAD, 1, weight=flipped)
+    assert check.status == "inapplicable"
+    assert check.hypotheses["half_ball"] is False
+    assert check.hypotheses["min_weight"] <= 0.0
+    assert math.isnan(check.lhs) and math.isnan(check.rhs)
+    # the weighted average itself is undefined there
     with pytest.raises(fn.NonpositiveWeightError):
-        fn.check_main_inequality(shape, QUAD, 1, weight=flipped)
+        fn.average_hk(shape, QUAD, 1, weight=flipped)
+
+
+def test_main_inequality_matches_frame_loop():
+    """Both sides agree with a loop over frames of the per-point helpers."""
+    shape = perturbed(eps=0.05, n=3)
+    data = geo.surface_data(shape, QUAD)
+    for weight in (None, axis_potential(shape)):
+        for k in (1, 2):
+            ws = [fn.weight_value(weight, fr) * fr.weight for fr in data.frames]
+            avg = sum(w * fn.hk_value(fr, k) for w, fr in zip(ws, data.frames)) / sum(ws)
+            lhs = sum(w * (fn.hk_value(fr, k) - avg) ** 2 for w, fr in zip(ws, data.frames))
+            rhs = sum(w * fn.traceless_newton_norm2(fr, k)
+                      for w, fr in zip(ws, data.frames)) * 3 * 2 / (3 - k) ** 2
+            check = fn.check_main_inequality(shape, QUAD, k, weight=weight)
+            assert fn.average_hk(shape, QUAD, k, weight) == pytest.approx(avg, rel=1e-13)
+            assert check.lhs == pytest.approx(lhs, rel=1e-12)
+            assert check.rhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_node_arrays_match_pointwise_helpers():
+    """SurfaceData's node arrays agree with the per-frame helpers."""
+    for shape in (perturbed(eps=0.05, n=3, K=-1, R=0.8), perturbed(eps=0.05)):
+        data = geo.surface_data(shape, QUAD)
+        K = shape.space_form.K
+        for i, fr in enumerate(data.frames):
+            np.testing.assert_array_equal(data.kappa[i], fr.kappa)
+            np.testing.assert_array_equal(data.x[i], fr.x)
+            np.testing.assert_array_equal(data.nu_flat[i], fr.nu_flat)
+            assert data.min_ricci[i] == geo.ricci_min(fr, K)
+            for k in range(shape.n + 1):
+                assert data.H[i, k] == fn.hk_value(fr, k)
+            for k in range(shape.n):
+                assert data.traceless_norm2[i, k] == pytest.approx(
+                    fn.traceless_newton_norm2(fr, k), rel=1e-14, abs=1e-14)
 
 
 def test_main_inequality_hyperbolic_flat_cap_inapplicable():
@@ -175,6 +215,16 @@ def test_quermass_rejects_nonunit_ball():
     cap = geo.make_cap(sf, ball, 1.0, n=2)
     with pytest.raises(ValueError):
         fn.quermassintegrals(cap, QUAD)
+
+
+def test_corollary_low_dim_rejects_other_balls():
+    """The corollary is stated for the unit Euclidean ball only."""
+    for K, R in ((1, 1.0), (0, 0.8), (-1, 0.9)):
+        sf = SpaceForm(K)
+        ball = BallDomain(sf, R)
+        cap = geo.make_cap(sf, ball, 1.2 * ball.R_model, n=2)
+        with pytest.raises(ValueError, match="unit Euclidean ball"):
+            fn.check_corollary_low_dim(cap, QUAD, "i")
 
 
 def test_cap_function_inverse_round_trip():

@@ -79,6 +79,19 @@ def test_flat_disk_is_totally_geodesic():
         np.testing.assert_allclose(fr.h, 0.0, atol=1e-12)
 
 
+def test_flat_disk_normal_orients_the_disk():
+    """The unit normal of a disk points along the requested normal."""
+    for K in (-1, 0, 1):
+        sf = SpaceForm(K)
+        ball = BallDomain(sf, 0.9)
+        for n in (2, 3):
+            for normal in (np.eye(n + 1)[-1], -np.eye(n + 1)[-1],
+                           np.eye(n + 1)[0], np.linspace(-1.0, 0.5, n + 1)):
+                disk = geo.make_flat_disk(sf, ball, normal=normal, n=n)
+                data = geo.surface_data(disk, QUAD)
+                assert np.all(data.nu_flat @ normal > 0.0)
+
+
 def test_n3_cap_area_closed_form():
     """n=3 zone area: 2 pi rho^3 (psi - sin psi cos psi) ... checked
     against the axisymmetric closed form |S^2 zone| style integral."""

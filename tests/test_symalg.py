@@ -36,6 +36,17 @@ def test_mean_curvatures_match_subset_sums():
                                              rel=1e-12, abs=1e-12)
 
 
+def test_mean_curvatures_stacked_rows():
+    """A stack of curvature vectors gives the row-by-row results."""
+    rng = np.random.default_rng(2)
+    for shape in ((7, 3), (2, 4, 2)):
+        kappa = rng.normal(size=shape)
+        H = symalg.mean_curvatures(kappa)
+        assert H.shape == shape[:-1] + (shape[-1] + 1,)
+        for idx in np.ndindex(*shape[:-1]):
+            np.testing.assert_array_equal(H[idx], symalg.mean_curvatures(kappa[idx]))
+
+
 def test_mean_curvatures_homogeneity():
     rng = np.random.default_rng(1)
     kappa = rng.normal(size=5)
