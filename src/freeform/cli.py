@@ -79,6 +79,7 @@ def make_record(suite: str, immersion, check: fn.InequalityCheck,
         "ratio": None if math.isnan(ratio) else ratio,
         "status": check.status,
         "hypotheses": hyp,
+        "extra": check.extra,
         "quadrature": {"order": quad.order, "level": quad.level},
     })
 
@@ -259,6 +260,10 @@ def run_suite_on_shape(suite: str, immersion, args) -> list[dict]:
         if not fn.unit_euclidean_ball(immersion):
             raise ConfigError("cor-lowdim applies to the unit Euclidean ball; "
                               "pass --K 0 --radius 1")
+        needs = {"i": 2, "ii": 3}[args.case]
+        if immersion.n != needs:
+            raise ConfigError(f"cor-lowdim case ({args.case}) needs n={needs}; "
+                              f"pass --n {needs}")
         add(fn.check_corollary_low_dim(immersion, quad, args.case,
                                        rel_tol=args.rel_tol))
     elif suite == "perez":
@@ -292,11 +297,13 @@ def run_suite_on_shape(suite: str, immersion, args) -> list[dict]:
             check = fn.InequalityCheck(
                 name="proof-chain", k=k, lhs=rep.final_lhs, rhs=rep.final_rhs,
                 direction="le", hypotheses=hyp, rel_tol=args.rel_tol,
-                extra={"pairing_residual": rep.pairing_residual,
-                       "slack_residual": rep.slack_residual,
-                       "pde_residual": rep.pde_residual})
+                extra=rep.residuals)
             gates_ok = hyp["half_ball"] and hyp["substatic_min"] >= -fn.GATE_TOL
-            add(check.finalize(bool(gates_ok)))
+            check.finalize(bool(gates_ok))
+            if not rep.residuals_ok:
+                # the residuals check the computation, not a hypothesis
+                check.status = "fail"
+            add(check)
     elif suite == "identities":
         sf = immersion.space_form
         if immersion.closed:

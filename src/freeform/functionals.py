@@ -155,9 +155,20 @@ def hypothesis_report(immersion: Immersion, quad: QuadratureSpec,
     """Diagnostics entering the hypothesis gates of the theorems.
 
     The weight entries (``half_ball``, ``min_weight``, ``substatic_min``)
-    are None when unweighted, so the keys are the same either way.
+    are None when unweighted, so the keys are the same either way.  The
+    report is computed once per shape, quadrature and weight direction and
+    cached on the immersion; each call returns a copy.
     """
     data = _data(immersion, quad, weight)
+    key = ("hyp", quad.order, quad.level, data.full,
+           None if weight is None else tuple(weight.a))
+    if key not in immersion._cache:
+        immersion._cache[key] = _hypotheses(immersion, data, weight)
+    return dict(immersion._cache[key])
+
+
+def _hypotheses(immersion: Immersion, data: SurfaceData,
+                weight: Potential | None) -> dict:
     if immersion.closed:
         fb_pos = fb_ang = 0.0
     else:

@@ -6,13 +6,17 @@ curve (r(t), z(t)) on t in [0,1] swept by an (n-1)-sphere orbit.  Frames
 computed in flat model coordinates and pushed through the conformal
 factor.  n=2 shapes additionally support full 2-parameter charts for
 non-symmetric integrands.
+
+Chart points are one point of shape (n,) or a stack of shape (M, n); the
+chart maps, ``frame_at`` and the metric derivatives then return fields
+with the same leading node axis, through the same code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -50,7 +54,11 @@ def sphere_area(m: int) -> float:
 
 @dataclass(frozen=True)
 class Curve:
-    """Scalar function of t with analytic first and second derivatives."""
+    """Scalar function of t with analytic first and second derivatives.
+
+    The built-in curves take a float or an array of t values; a constant
+    may come back as a float, which broadcasts against the array.
+    """
 
     v: Callable[[float], float]
     d1: Callable[[float], float]
@@ -60,20 +68,22 @@ class Curve:
 def trig_curve(const: float, sin_amps: dict[float, float] | None = None,
                cos_amps: dict[float, float] | None = None) -> Curve:
     """const + sum a_w sin(w t) + sum b_w cos(w t)."""
-    s = [(w, a) for w, a in (sin_amps or {}).items()]
-    c = [(w, a) for w, a in (cos_amps or {}).items()]
+    ws = np.array(list((sin_amps or {}).keys()), dtype=float)
+    a_s = np.array(list((sin_amps or {}).values()), dtype=float)
+    wc = np.array(list((cos_amps or {}).keys()), dtype=float)
+    a_c = np.array(list((cos_amps or {}).values()), dtype=float)
 
     def v(t):
-        return const + sum(a * math.sin(w * t) for w, a in s) \
-            + sum(a * math.cos(w * t) for w, a in c)
+        t = np.asarray(t, dtype=float)[..., None]
+        return const + np.sin(t * ws) @ a_s + np.cos(t * wc) @ a_c
 
     def d1(t):
-        return sum(a * w * math.cos(w * t) for w, a in s) \
-            - sum(a * w * math.sin(w * t) for w, a in c)
+        t = np.asarray(t, dtype=float)[..., None]
+        return np.cos(t * ws) @ (a_s * ws) - np.sin(t * wc) @ (a_c * wc)
 
     def d2(t):
-        return -sum(a * w * w * math.sin(w * t) for w, a in s) \
-            - sum(a * w * w * math.cos(w * t) for w, a in c)
+        t = np.asarray(t, dtype=float)[..., None]
+        return -(np.sin(t * ws) @ (a_s * ws * ws)) - np.cos(t * wc) @ (a_c * wc * wc)
 
     return Curve(v, d1, d2)
 
@@ -82,53 +92,74 @@ def trig_curve(const: float, sin_amps: dict[float, float] | None = None,
 # sphere orbit embedding
 
 
+@cache
+def _embedding_factors(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor tables of the hyperspherical embedding of S^m.
+
+    Component i of the embedding is prod_{j<i} sin(theta_j) times
+    cos(theta_i) if i<m; a derivative replaces the factor of each
+    differentiated angle by its derivative.  Entry [j, r] gives the
+    factor of angle j in product r as (const, sin, cos) coefficients, one
+    of 1, +-sin, +-cos or 0; the products are first the d = m+1
+    components, then the d*m first and the d*m*m second derivatives.
+    """
+    d = m + 1
+    one, sin, cos, zero = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+    neg_sin, neg_cos = (0, -1, 0), (0, 0, -1)
+
+    def row(i: int, orders: tuple[int, ...]) -> list[tuple[int, int, int]]:
+        out = []
+        for j in range(m):
+            k = orders.count(j)
+            if j < i:
+                out.append((sin, cos, neg_sin, neg_cos)[k % 4])
+            elif j == i:
+                out.append((cos, neg_sin, neg_cos, sin)[k % 4])
+            else:
+                out.append(one if k == 0 else zero)
+        return out
+
+    rows = [row(i, ()) for i in range(d)]
+    rows += [row(i, (a,)) for i in range(d) for a in range(m)]
+    rows += [row(i, (a, b)) for i in range(d) for a in range(m) for b in range(m)]
+    table = np.array(rows, dtype=float).reshape(len(rows), m, 3).transpose(2, 1, 0)
+    table.setflags(write=False)  # cached and shared by every caller
+    return table[0], table[1], table[2]
+
+
 def sphere_embedding(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hyperspherical embedding of S^m with its first two derivatives.
 
-    theta has m entries; returns (omega, d_omega, d2_omega) with shapes
-    (m+1,), (m+1, m), (m+1, m, m).
+    theta has m entries, or is a stack (..., m); returns (omega, d_omega,
+    d2_omega) with shapes (..., m+1), (..., m+1, m), (..., m+1, m, m).
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    m = theta.size
+    lead, m = theta.shape[:-1], theta.shape[-1]
     d = m + 1
-    sin = np.sin(theta)
-    cos = np.cos(theta)
-    # component i is prod_{j<i} sin(theta_j) * (cos(theta_i) if i<m else 1)
-    w = np.zeros(d)
-    dw = np.zeros((d, m))
-    d2w = np.zeros((d, m, m))
+    const, c_sin, c_cos = _embedding_factors(m)
+    sin = np.sin(theta)[..., None]
+    cos = np.cos(theta)[..., None]
 
-    def prod(i: int, orders: dict[int, int]) -> float:
-        out = 1.0
-        for j in range(min(i, m)):
-            k = orders.get(j, 0) % 4
-            out *= (sin[j], cos[j], -sin[j], -cos[j])[k]
-        if i < m:
-            k = orders.get(i, 0) % 4
-            out *= (cos[i], -sin[i], -cos[i], sin[i])[k]
-        return out
+    def factor(j: int) -> np.ndarray:
+        return const[j] + c_sin[j] * sin[..., j, :] + c_cos[j] * cos[..., j, :]
 
-    for i in range(d):
-        angles = list(range(min(i, m))) + ([i] if i < m else [])
-        w[i] = prod(i, {})
-        for a in angles:
-            dw[i, a] = prod(i, {a: 1})
-            d2w[i, a, a] = prod(i, {a: 2})
-            for b in angles:
-                if b > a:
-                    val = prod(i, {a: 1, b: 1})
-                    d2w[i, a, b] = val
-                    d2w[i, b, a] = val
+    vals = factor(0)
+    for j in range(1, m):
+        vals = vals * factor(j)
+    w = vals[..., :d]
+    dw = vals[..., d:d + d * m].reshape(lead + (d, m))
+    d2w = vals[..., d + d * m:].reshape(lead + (d, m, m))
     return w, dw, d2w
 
 
 def generalized_cross(J: np.ndarray) -> np.ndarray:
-    """Vector orthogonal to the n columns of an (n+1) x n matrix."""
-    d = J.shape[0]
-    N = np.empty(d)
-    for i in range(d):
-        N[i] = (-1.0) ** i * np.linalg.det(np.delete(J, i, axis=0))
-    return N
+    """Vector orthogonal to the n columns of an (n+1) x n matrix, or one
+    per matrix of a stack (..., n+1, n)."""
+    d = J.shape[-2]
+    # rows of the minor that leaves out row i: r + (r >= i)
+    r = np.arange(d - 1)
+    minors = J[..., r + (r >= np.arange(d)[:, None]), :]
+    return (-1.0) ** np.arange(d) * np.linalg.det(minors)
 
 
 def _axis_rotation(axis: np.ndarray, dim: int) -> np.ndarray:
@@ -182,33 +213,44 @@ class Immersion:
 
     # -- chart maps ---------------------------------------------------------
 
+    def _chart(self, p: np.ndarray, order: int) -> list[np.ndarray]:
+        """[x, J, H] up to the given derivative order at chart points p,
+        one point or a stack, from one evaluation of the orbit embedding
+        and of each profile-curve derivative."""
+        p = np.asarray(p, dtype=float)
+        lead, t = p.shape[:-1], p[..., 0]
+        w, dw, d2w = sphere_embedding(p[..., 1:])
+        n = self.n
+        r = np.asarray(self.r.v(t))[..., None]
+        y = np.empty(lead + (n + 1,))
+        y[..., :n] = r * w
+        y[..., n] = self.z.v(t)
+        out = [y @ self.Q.T]
+        if order >= 1:
+            r1 = np.asarray(self.r.d1(t))[..., None]
+            J = np.zeros(lead + (n + 1, n))
+            J[..., :n, 0] = r1 * w
+            J[..., n, 0] = self.z.d1(t)
+            J[..., :n, 1:] = r[..., None] * dw
+            out.append(self.Q @ J)
+        if order >= 2:
+            H = np.zeros(lead + (n + 1, n, n))
+            H[..., :n, 0, 0] = np.asarray(self.r.d2(t))[..., None] * w
+            H[..., n, 0, 0] = self.z.d2(t)
+            H[..., :n, 0, 1:] = r1[..., None] * dw
+            H[..., :n, 1:, 0] = r1[..., None] * dw
+            H[..., :n, 1:, 1:] = r[..., None, None] * d2w
+            out.append((self.Q @ H.reshape(lead + (n + 1, n * n))).reshape(H.shape))
+        return out
+
     def map(self, p: np.ndarray) -> np.ndarray:
-        t = p[0]
-        w, _, _ = sphere_embedding(p[1:])
-        y = np.concatenate([self.r.v(t) * w, [self.z.v(t)]])
-        return self.Q @ y
+        return self._chart(p, 0)[0]
 
     def jac(self, p: np.ndarray) -> np.ndarray:
-        t = p[0]
-        w, dw, _ = sphere_embedding(p[1:])
-        n = self.n
-        J = np.zeros((n + 1, n))
-        J[:n, 0] = self.r.d1(t) * w
-        J[n, 0] = self.z.d1(t)
-        J[:n, 1:] = self.r.v(t) * dw
-        return self.Q @ J
+        return self._chart(p, 1)[1]
 
     def hess(self, p: np.ndarray) -> np.ndarray:
-        t = p[0]
-        w, dw, d2w = sphere_embedding(p[1:])
-        n = self.n
-        H = np.zeros((n + 1, n, n))
-        H[:n, 0, 0] = self.r.d2(t) * w
-        H[n, 0, 0] = self.z.d2(t)
-        H[:n, 0, 1:] = self.r.d1(t) * dw
-        H[:n, 1:, 0] = self.r.d1(t) * dw
-        H[:n, 1:, 1:] = self.r.v(t) * d2w
-        return np.einsum("ij,jkl->ikl", self.Q, H)
+        return self._chart(p, 2)[2]
 
     # -- orientation --------------------------------------------------------
 
@@ -222,20 +264,23 @@ class Immersion:
             return 1.0 if float(np.dot(fr.nu_flat, hint)) >= 0.0 else -1.0
         return 1.0
 
-    def _generic_point(self, t: float) -> np.ndarray:
-        # interior angles away from coordinate degeneracies
-        return np.concatenate([[t], np.full(self.n - 1, 0.7)])
+    def _generic_point(self, t: float | np.ndarray) -> np.ndarray:
+        # interior angles away from coordinate degeneracies; an array of t
+        # gives a stack of chart points
+        t = np.asarray(t, dtype=float)
+        p = np.full(t.shape + (self.n,), 0.7)
+        p[..., 0] = t
+        return p
 
     # -- profile helpers ----------------------------------------------------
 
-    def area_density(self, t: float) -> float:
+    def area_density(self, t: float | np.ndarray) -> float | np.ndarray:
         """1D surface-measure density: integrating f(t) * this over t and
         multiplying by |S^{n-1}| gives the integral of a symmetric f."""
         r, z = self.r, self.z
-        x = self.map(self._generic_point(t))
-        eu = math.exp(self.space_form.u(x))
-        speed = math.hypot(r.d1(t), z.d1(t))
-        return eu ** self.n * speed * abs(r.v(t)) ** (self.n - 1)
+        eu = np.exp(self.space_form.u(self.map(self._generic_point(t))))
+        speed = np.hypot(r.d1(t), z.d1(t))
+        return eu ** self.n * speed * np.abs(r.v(t)) ** (self.n - 1)
 
     def boundary_measure(self) -> float:
         """Total measure of the boundary orbit (empty-boundary shapes: 0)."""
@@ -262,6 +307,9 @@ class GenericImmersion(Immersion):
         super().__init__(n, space_form, ball, one, one, "generic", {}, closed=closed)
         self.symmetric = False
         self.derivative_mode = "fd"
+
+    def _chart(self, p, order):
+        return [self.map(p), self.jac(p), self.hess(p)][:order + 1]
 
     def map(self, p):
         return np.asarray(self._map(np.asarray(p, dtype=float)), dtype=float)
@@ -302,11 +350,14 @@ class GenericImmersion(Immersion):
 
 @dataclass
 class PointFrame:
-    """Per-point geometric state of an immersion."""
+    """Geometric state of an immersion at one chart point, or at a stack
+    of them: then every field carries the leading node axis, so ``x`` is
+    (M, n+1), ``g`` is (M, n, n) and ``sqrt_det_g`` is (M,)."""
 
     p: np.ndarray          # chart point
     x: np.ndarray          # model point
     J: np.ndarray          # flat jacobian, (n+1, n)
+    Hs: np.ndarray         # flat chart Hessian, (n+1, n, n)
     gf: np.ndarray         # flat induced metric
     g: np.ndarray          # induced metric (conformal units)
     g_inv: np.ndarray
@@ -320,41 +371,42 @@ class PointFrame:
 
 
 def frame_at(immersion, space_form: SpaceForm, p: np.ndarray) -> PointFrame:
+    """Frame at a chart point p of shape (n,), or at a stack (M, n)."""
     p = np.asarray(p, dtype=float)
-    x = immersion.map(p)
-    J = immersion.jac(p)
-    gf = J.T @ J
-    eigmin = float(np.linalg.eigvalsh(gf).min())
+    x, J, Hs = immersion._chart(p, 2)
+    gf = np.swapaxes(J, -1, -2) @ J
+    eigmin = np.linalg.eigvalsh(gf)[..., 0]
     # relative conditioning: small shapes are fine, rank loss is not
-    if eigmin <= 1e-12 * max(float(np.abs(gf).max()), 1e-300):
-        raise DegenerateImmersionError(f"induced metric singular at chart point {p}")
+    bad = eigmin <= 1e-12 * np.maximum(np.abs(gf).max(axis=(-2, -1)), 1e-300)
+    if bad.any():
+        where = p[bad][0] if p.ndim > 1 else p
+        raise DegenerateImmersionError(f"induced metric singular at chart point {where}")
     Nf = generalized_cross(J)
-    Nf = immersion._sign * Nf / np.linalg.norm(Nf)
-    Hs = immersion.hess(p)
-    hf = -np.einsum("i,ijk->jk", Nf, Hs)
-    u = space_form.u(x)
-    eu = math.exp(u)
+    Nf = immersion._sign * Nf / np.sqrt(np.sum(Nf * Nf, axis=-1, keepdims=True))
+    hf = -np.einsum("...i,...ijk->...jk", Nf, Hs)
+    eu = np.exp(space_form.u(x))
     gu = space_form.grad_u(x)
-    g = eu**2 * gf
-    h = eu * (hf + float(np.dot(Nf, gu)) * gf)
+    eu_ = eu[..., None, None]
+    g = eu_**2 * gf
+    h = eu_ * (hf + np.sum(Nf * gu, axis=-1)[..., None, None] * gf)
     g_inv = np.linalg.inv(g)
     kappa = symalg.principal_curvatures(h, g)
-    sqrt_det_g = eu ** immersion.n * math.sqrt(max(np.linalg.det(gf), 0.0))
-    return PointFrame(p=p, x=x, J=J, gf=gf, g=g, g_inv=g_inv, h=h,
+    sqrt_det_g = eu ** immersion.n * np.sqrt(np.maximum(np.linalg.det(gf), 0.0))
+    return PointFrame(p=p, x=x, J=J, Hs=Hs, gf=gf, g=g, g_inv=g_inv, h=h,
                       nu_flat=Nf, kappa=kappa,
                       sqrt_det_g=sqrt_det_g, e_u=eu)
 
 
 def metric_derivatives(immersion, space_form: SpaceForm, frame: PointFrame) -> np.ndarray:
-    """Chart derivatives of the induced metric, dg[k, i, j] = d_k g_ij."""
-    J, x = frame.J, frame.x
-    Hs = immersion.hess(frame.p)
-    # dgf[k,i,j] = d_k (J_i . J_j)
-    dgf = np.einsum("aik,aj->kij", Hs, J) + np.einsum("ai,ajk->kij", J, Hs)
-    gu = space_form.grad_u(x)
-    du = J.T @ gu  # chart derivatives of u
-    e2u = frame.e_u**2
-    return e2u * (dgf + 2.0 * du[:, None, None] * frame.gf[None, :, :])
+    """Chart derivatives of the induced metric, dg[..., k, i, j] = d_k g_ij."""
+    J, Hs = frame.J, frame.Hs
+    # dgf[k,i,j] = d_k (J_i . J_j) = T[k,i,j] + T[k,j,i] with T[k,i,j] = d_k J_i . J_j
+    T = np.swapaxes(np.moveaxis(Hs, -1, -3), -1, -2) @ J[..., None, :, :]
+    dgf = T + np.swapaxes(T, -1, -2)
+    gu = space_form.grad_u(frame.x)
+    du = np.einsum("...ai,...a->...i", J, gu)  # chart derivatives of u
+    e2u = np.asarray(frame.e_u**2)[..., None, None, None]
+    return e2u * (dgf + 2.0 * du[..., :, None, None] * frame.gf[..., None, :, :])
 
 
 def christoffels(immersion, space_form: SpaceForm, frame: PointFrame) -> np.ndarray:
@@ -368,10 +420,12 @@ def christoffels(immersion, space_form: SpaceForm, frame: PointFrame) -> np.ndar
 
 def christoffel_symbols(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Gamma^l_ij = (1/2) g^{lk} (d_i g_kj + d_j g_ki - d_k g_ij) of any
-    metric, from its inverse and dg[k, i, j] = d_k g_ij."""
-    return 0.5 * (np.einsum("lk,ikj->lij", g_inv, dg)
-                  + np.einsum("lk,jki->lij", g_inv, dg)
-                  - np.einsum("lk,kij->lij", g_inv, dg))
+    metric, from its inverse and dg[k, i, j] = d_k g_ij; both may carry a
+    leading node axis."""
+    n = dg.shape[-1]
+    # S[k,i,j] = d_i g_kj + d_j g_ki - d_k g_ij
+    S = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg
+    return 0.5 * (g_inv @ S.reshape(S.shape[:-2] + (n * n,))).reshape(S.shape)
 
 
 def ricci_tensor(frame: PointFrame, K: int) -> np.ndarray:
@@ -760,41 +814,43 @@ def make_closed_sphere(space_form: SpaceForm, r_geodesic: float,
     s = radius_to_model(space_form, r_geodesic)
     coeffs = list(cos_coeffs or [])
 
-    def rho(psi: float) -> float:
-        return s * (1.0 + eps * sum(c * math.cos((j + 1) * psi)
-                                    for j, c in enumerate(coeffs)))
+    coeffs_arr = np.array(coeffs, dtype=float)
+    freqs = np.arange(1, len(coeffs) + 1, dtype=float)
 
-    def drho(psi: float) -> float:
-        return -s * eps * sum(c * (j + 1) * math.sin((j + 1) * psi)
-                              for j, c in enumerate(coeffs))
+    def rho(psi):
+        return s * (1.0 + eps * (np.cos(psi[..., None] * freqs) @ coeffs_arr))
 
-    def d2rho(psi: float) -> float:
-        return -s * eps * sum(c * (j + 1) ** 2 * math.cos((j + 1) * psi)
-                              for j, c in enumerate(coeffs))
+    def drho(psi):
+        return -s * eps * (np.sin(psi[..., None] * freqs) @ (coeffs_arr * freqs))
+
+    def d2rho(psi):
+        return -s * eps * (np.cos(psi[..., None] * freqs) @ (coeffs_arr * freqs**2))
 
     pi = math.pi
 
     def rv(t):
-        return rho(pi * t) * math.sin(pi * t)
+        p = pi * np.asarray(t, dtype=float)
+        return rho(p) * np.sin(p)
 
     def rd1(t):
-        p = pi * t
-        return pi * (drho(p) * math.sin(p) + rho(p) * math.cos(p))
+        p = pi * np.asarray(t, dtype=float)
+        return pi * (drho(p) * np.sin(p) + rho(p) * np.cos(p))
 
     def rd2(t):
-        p = pi * t
-        return pi**2 * (d2rho(p) * math.sin(p) + 2 * drho(p) * math.cos(p) - rho(p) * math.sin(p))
+        p = pi * np.asarray(t, dtype=float)
+        return pi**2 * (d2rho(p) * np.sin(p) + 2 * drho(p) * np.cos(p) - rho(p) * np.sin(p))
 
     def zv(t):
-        return rho(pi * t) * math.cos(pi * t)
+        p = pi * np.asarray(t, dtype=float)
+        return rho(p) * np.cos(p)
 
     def zd1(t):
-        p = pi * t
-        return pi * (drho(p) * math.cos(p) - rho(p) * math.sin(p))
+        p = pi * np.asarray(t, dtype=float)
+        return pi * (drho(p) * np.cos(p) - rho(p) * np.sin(p))
 
     def zd2(t):
-        p = pi * t
-        return pi**2 * (d2rho(p) * math.cos(p) - 2 * drho(p) * math.sin(p) - rho(p) * math.cos(p))
+        p = pi * np.asarray(t, dtype=float)
+        return pi**2 * (d2rho(p) * np.cos(p) - 2 * drho(p) * np.sin(p) - rho(p) * np.cos(p))
 
     params = {"r_geodesic": r_geodesic, "eps": eps, "cos_coeffs": coeffs, "n": n}
     return Immersion(n, space_form, None, Curve(rv, rd1, rd2), Curve(zv, zd1, zd2),

@@ -30,6 +30,13 @@ class SolverError(RuntimeError):
     """The linear solve for the Neumann-type problem failed or is unreliable."""
 
 
+# bounds on the proof chain's internal residuals: the collocation residual
+# of the solve, the integration-by-parts pairing and the trace-inequality
+# slack against the discarded identity terms
+RESIDUAL_TOLS = {"pde_residual": 1e-7, "pairing_residual": 1e-6,
+                 "slack_residual": 1e-5}
+
+
 # ---------------------------------------------------------------------------
 # scalar fields on a chart with derivative oracles
 
@@ -40,6 +47,10 @@ class ChartField:
 
     Intrinsic gradient, Hessian and Laplacian are assembled from the
     chart derivatives and the Christoffel symbols of the induced metric.
+    The fields built by ``from_profile``, ``from_ambient`` (given ambient
+    callables that do) and ``from_potential`` take a chart point (n,) or a
+    stack (M, n), as do the operators on a stacked frame; a field built
+    from per-point callables works on single points.
     """
 
     def __init__(self, value: Callable[[np.ndarray], float],
@@ -54,16 +65,18 @@ class ChartField:
         """Rotationally symmetric field f(t) on an n-dimensional chart."""
 
         def d1(p):
-            out = np.zeros(n)
-            out[0] = curve.d1(p[0])
+            p = np.asarray(p, dtype=float)
+            out = np.zeros(p.shape)
+            out[..., 0] = curve.d1(p[..., 0])
             return out
 
         def d2(p):
-            out = np.zeros((n, n))
-            out[0, 0] = curve.d2(p[0])
+            p = np.asarray(p, dtype=float)
+            out = np.zeros(p.shape + (n,))
+            out[..., 0, 0] = curve.d2(p[..., 0])
             return out
 
-        return ChartField(lambda p: curve.v(p[0]), d1, d2)
+        return ChartField(lambda p: curve.v(np.asarray(p, dtype=float)[..., 0]), d1, d2)
 
     @staticmethod
     def from_ambient(immersion: Immersion,
@@ -74,17 +87,17 @@ class ChartField:
         coordinates with flat derivatives) to the hypersurface."""
 
         def val(p):
-            return float(value(immersion.map(p)))
+            return np.asarray(value(immersion.map(p)), dtype=float)[()]
 
         def d1(p):
-            return immersion.jac(p).T @ grad(immersion.map(p))
+            x, J = immersion._chart(p, 1)
+            return np.einsum("...ai,...a->...i", J, grad(x))
 
         def d2(p):
-            x = immersion.map(p)
-            J = immersion.jac(p)
-            Hs = immersion.hess(p)
+            x, J, Hs = immersion._chart(p, 2)
             G = grad(x)
-            return J.T @ hess(x) @ J + np.einsum("a,aij->ij", G, Hs)
+            return (np.swapaxes(J, -1, -2) @ hess(x) @ J
+                    + np.einsum("...a,...aij->...ij", G, Hs))
 
         return ChartField(val, d1, d2)
 
@@ -135,16 +148,16 @@ class ChartField:
 
     def gradient(self, immersion: Immersion, fr: PointFrame) -> np.ndarray:
         """Chart components of the metric gradient (index up)."""
-        return fr.g_inv @ self.d1(fr.p)
+        return np.einsum("...ij,...j->...i", fr.g_inv, self.d1(fr.p))
 
     def hessian(self, immersion: Immersion, fr: PointFrame) -> np.ndarray:
         """Covariant Hessian, both indices down."""
         Gamma = geo.christoffels(immersion, immersion.space_form, fr)
         df = self.d1(fr.p)
-        return self.d2(fr.p) - np.einsum("kij,k->ij", Gamma, df)
+        return self.d2(fr.p) - np.einsum("...kij,...k->...ij", Gamma, df)
 
-    def laplacian(self, immersion: Immersion, fr: PointFrame) -> float:
-        return float(np.trace(fr.g_inv @ self.hessian(immersion, fr)))
+    def laplacian(self, immersion: Immersion, fr: PointFrame) -> float | np.ndarray:
+        return np.einsum("...ij,...ji->...", fr.g_inv, self.hessian(immersion, fr))
 
 
 # ---------------------------------------------------------------------------
@@ -303,25 +316,16 @@ class NeumannSolution:
     compat_defect: float
 
 
-def _profile_coefficients(immersion: Immersion, V: ChartField, rhs_fn, t: float):
-    """(W, g_tt, V, q, rhs) at parameter t of a symmetric profile.
-
-    W is the area density without the orbit-sphere constant; q = lap V / V.
-    """
-    p = immersion._generic_point(t)
-    fr = geo.frame_at(immersion, immersion.space_form, p)
-    W = immersion.area_density(t)
-    v = V.value(fr.p)
-    q = V.laplacian(immersion, fr) / v
-    return W, float(fr.g[0, 0]), v, q, rhs_fn(fr)
-
-
 def solve_neumann(immersion: Immersion, V: ChartField, rhs_fn,
                   n_cells: int = 2000) -> NeumannSolution:
     """Solve lap f = (lap V / V) f + rhs on a symmetric profile with the
     oblique boundary condition f_mu = (V_mu / V) f at t=1.
 
-    rhs_fn(frame) -> float must be rotationally symmetric.  The problem
+    The coefficients are evaluated on stacked frames: V must accept a
+    stack of chart points (M, n), as the fields of ``ChartField.from_profile``,
+    ``from_potential`` and the constant weight of ``proof_chain_check`` do,
+    and rhs_fn(frame) receives a stacked frame and returns one value per
+    node.  The right-hand side must be rotationally symmetric.  The problem
     has the kernel direction f = V when rhs integrates to zero against
     V dA; the solve is regularized by a bordered system enforcing the
     weighted orthogonality integral of f against V.
@@ -332,69 +336,61 @@ def solve_neumann(immersion: Immersion, V: ChartField, rhs_fn,
     """
     if immersion.n < 2:
         raise SolverError("profile solver needs chart dimension >= 2")
+    if not immersion.symmetric:
+        raise SolverError("profile solver needs a rotationally symmetric shape")
     N = n_cells
     edges = np.linspace(0.0, 1.0, N + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     dt = edges[1] - edges[0]
 
-    coeff_c = [_profile_coefficients(immersion, V, rhs_fn, t) for t in centers]
-    W_c = np.array([c[0] for c in coeff_c])
-    V_c = np.array([c[2] for c in coeff_c])
-    q_c = np.array([c[3] for c in coeff_c])
-    r_c = np.array([c[4] for c in coeff_c])
-    # flux coefficient P = W / g_tt at interior edges
-    P_e = np.zeros(N + 1)
-    for i in range(1, N):
-        W, gtt, _, _, _ = _profile_coefficients(immersion, V, rhs_fn, edges[i])
-        P_e[i] = W / gtt
-    W1, gtt1, _, _, _ = _profile_coefficients(immersion, V, rhs_fn, 1.0)
-    P_e[N] = W1 / gtt1
+    def profile(ts: np.ndarray):
+        """Stacked frame at the parameters ts, the area density W without
+        the orbit-sphere constant, and the flux coefficient P = W / g_tt."""
+        fr = geo.frame_at(immersion, immersion.space_form, immersion._generic_point(ts))
+        W = immersion.area_density(ts)
+        return fr, W, W / fr.g[:, 0, 0]
+
+    def reaction(fr: PointFrame):
+        """V, q = lap V / V and the right-hand side on a stacked frame."""
+        v = V.value(fr.p)
+        return v, V.laplacian(immersion, fr) / v, rhs_fn(fr)
+
+    fr_c, W_c, _ = profile(centers)
+    V_c, q_c, r_c = reaction(fr_c)
+    # flux coefficient at the edges; it vanishes on the axis
+    fr_e, _, P_inner = profile(edges[1:])
+    P_e = np.concatenate([[0.0], P_inner])
 
     # Robin coefficient at t=1: f'(1) = c_R f(1) with c_R = sqrt(g_tt) V_mu/V
     p1 = immersion._generic_point(1.0)
-    fr1 = geo.frame_at(immersion, immersion.space_form, p1)
-    v1 = V.value(fr1.p)
-    vmu1 = float(V.d1(fr1.p)[0]) / math.sqrt(gtt1)
+    gtt1 = fr_e.g[-1, 0, 0]
+    v1 = V.value(p1)
+    vmu1 = float(V.d1(p1)[0]) / math.sqrt(gtt1)
     c_R = math.sqrt(gtt1) * vmu1 / v1
+    # ghost-cell elimination of the oblique condition, second order:
+    # flux = P(1) c_R f(1), f(1) = f_{N-1} / (1 - c_R dt/2)
+    denom = 1.0 - 0.5 * c_R * dt
+    if abs(denom) < 1e-12:
+        raise SolverError("oblique boundary coefficient resonates with the grid")
 
-    rows, cols, vals = [], [], []
-    b = np.zeros(N + 1)
-    for i in range(N):
-        diag = -q_c[i] * W_c[i] * dt
-        if i > 0:
-            k = P_e[i] / dt
-            rows += [i, i]
-            cols += [i - 1, i]
-            vals += [k, -k]
-        if i < N - 1:
-            k = P_e[i + 1] / dt
-            rows += [i, i]
-            cols += [i + 1, i]
-            vals += [k, -k]
-        else:
-            # ghost-cell elimination of the oblique condition, second order:
-            # flux = P(1) c_R f(1), f(1) = f_{N-1} / (1 - c_R dt/2)
-            denom = 1.0 - 0.5 * c_R * dt
-            if abs(denom) < 1e-12:
-                raise SolverError("oblique boundary coefficient resonates with the grid")
-            rows.append(i)
-            cols.append(i)
-            vals.append(P_e[N] * c_R / denom)
-        rows.append(i)
-        cols.append(i)
-        vals.append(diag)
-        b[i] = W_c[i] * r_c[i] * dt
-        # bordered column: Lagrange multiplier spreads the compatibility
-        # defect along the kernel direction
-        rows.append(i)
-        cols.append(N)
-        vals.append(V_c[i] * W_c[i] * dt)
-    # orthogonality row: weighted integral of f against V vanishes
-    for i in range(N):
-        rows.append(N)
-        cols.append(i)
-        vals.append(V_c[i] * W_c[i] * dt)
+    # conservative fluxes between neighbouring cells, the Robin flux out of
+    # the last cell, and the reaction term on the diagonal
+    k = P_e / dt
+    diag = -k[:N]
+    diag[:-1] -= k[1:N]
+    diag[-1] += P_e[N] * c_R / denom
+    diag += -q_c * W_c * dt
+    # bordered column and row: the Lagrange multiplier spreads the
+    # compatibility defect along the kernel direction, and the weighted
+    # integral of f against V vanishes
+    border = V_c * W_c * dt
+    cells = np.arange(N)
+    last = np.full(N, N)
+    rows = np.concatenate([cells, cells[1:], cells[:-1], cells, last])
+    cols = np.concatenate([cells, cells[:-1], cells[1:], last, cells])
+    vals = np.concatenate([diag, k[1:N], k[1:N], border, border])
     A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(N + 1, N + 1))
+    b = np.append(W_c * r_c * dt, 0.0)
     sol = scipy.sparse.linalg.spsolve(A, b)
     f = sol[:N]
     compat = abs(float(sol[N]))
@@ -404,24 +400,21 @@ def solve_neumann(immersion: Immersion, V: ChartField, rhs_fn,
     spline = scipy.interpolate.make_interp_spline(centers, f, k=5)
     d1s = spline.derivative(1)
     d2s = spline.derivative(2)
-    curve = Curve(lambda t: float(spline(t)), lambda t: float(d1s(t)),
-                  lambda t: float(d2s(t)))
+    curve = Curve(lambda t: spline(t)[()], lambda t: d1s(t)[()], lambda t: d2s(t)[()])
     field = ChartField.from_profile(curve, immersion.n)
 
-    # strong-form collocation residual between grid points
+    # strong-form collocation residual between grid points, dP/dt by
+    # central differences
     ts = np.linspace(0.05, 0.95, 121)
-    res = 0.0
-    scale = 1.0
     h_fd = 1e-6
-    for t in ts:
-        W, gtt, v, q, r = _profile_coefficients(immersion, V, rhs_fn, t)
-        Wp, gttp, _, _, _ = _profile_coefficients(immersion, V, rhs_fn, t + h_fd)
-        Wm, gttm, _, _, _ = _profile_coefficients(immersion, V, rhs_fn, t - h_fd)
-        P = W / gtt
-        dP = (Wp / gttp - Wm / gttm) / (2.0 * h_fd)
-        lap = (dP * float(d1s(t)) + P * float(d2s(t))) / W
-        res = max(res, abs(lap - q * float(spline(t)) - r) * W)
-        scale = max(scale, abs(W * r), abs(P * float(d2s(t))))
+    fr_k, W_k, P_k = profile(np.concatenate([ts, ts + h_fd, ts - h_fd]))
+    _, q_k, r_k = reaction(fr_k)
+    P, Pp, Pm = np.split(P_k, 3)
+    W, q, r = W_k[:ts.size], q_k[:ts.size], r_k[:ts.size]
+    dP = (Pp - Pm) / (2.0 * h_fd)
+    lap = (dP * d1s(ts) + P * d2s(ts)) / W
+    res = float(np.max(np.abs(lap - q * spline(ts) - r) * W))
+    scale = max(1.0, float(np.max(np.abs(W * r))), float(np.max(np.abs(P * d2s(ts)))))
     return NeumannSolution(field=field, values=f, centers=centers,
                            pde_residual=res / scale, compat_defect=compat)
 
@@ -449,6 +442,15 @@ class ProofChainReport:
     final_ok: bool
     pde_residual: float
 
+    @property
+    def residuals(self) -> dict:
+        """The residuals bounded by ``RESIDUAL_TOLS``, by name."""
+        return {name: getattr(self, name) for name in RESIDUAL_TOLS}
+
+    @property
+    def residuals_ok(self) -> bool:
+        return all(getattr(self, name) <= tol for name, tol in RESIDUAL_TOLS.items())
+
 
 def proof_chain_check(immersion: Immersion, potential: Potential | None, k: int,
                       quad: QuadratureSpec, n_cells: int = 2000) -> ProofChainReport:
@@ -462,8 +464,9 @@ def proof_chain_check(immersion: Immersion, potential: Potential | None, k: int,
     """
     n = immersion.n
     if potential is None:
-        V = ChartField(lambda p: 1.0, lambda p: np.zeros(n),
-                       lambda p: np.zeros((n, n)))
+        V = ChartField(lambda p: np.ones(np.shape(p)[:-1])[()],
+                       lambda p: np.zeros(np.shape(p)),
+                       lambda p: np.zeros(np.shape(p) + (n,)))
     else:
         V = ChartField.from_potential(immersion, potential)
 
@@ -475,7 +478,7 @@ def proof_chain_check(immersion: Immersion, potential: Potential | None, k: int,
     final_rhs_int = float(np.sum(vs * data.traceless_norm2[:, k] * w))
 
     neumann = solve_neumann(
-        immersion, V, lambda fr: float(symalg.mean_curvatures(fr.kappa)[k]) - hbar,
+        immersion, V, lambda fr: symalg.mean_curvatures(fr.kappa)[..., k] - hbar,
         n_cells=n_cells)
     f = neumann.field
 

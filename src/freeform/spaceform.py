@@ -9,6 +9,7 @@ checked with the flat inner product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ class DegenerateError(ValueError):
 # Points with |x| beyond this are rejected in the K=+1 model (south pole
 # is at infinity in the model coordinates).
 SPHERE_MODEL_CUTOFF = 1e6
+LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -38,41 +40,52 @@ class SpaceForm:
             raise DomainError(f"curvature label must be -1, 0 or +1, got {self.K}")
 
     def admissible(self, x: np.ndarray) -> bool:
-        r2 = float(np.dot(x, x))
+        """True iff every point of x, one point (n,) or a stack (..., n),
+        lies in the model."""
+        x = np.asarray(x, dtype=float)
+        return self._admissible((x * x).sum(axis=-1))
+
+    def _admissible(self, r2) -> bool:
         if self.K == -1:
-            return r2 < 1.0
+            return bool((r2 < 1.0).all())
         if self.K == 1:
-            return r2 < SPHERE_MODEL_CUTOFF**2
+            return bool((r2 < SPHERE_MODEL_CUTOFF**2).all())
         return True
 
-    def _check(self, x: np.ndarray) -> None:
-        if not self.admissible(x):
-            raise DomainError(f"point with |x|^2={np.dot(x, x):.3g} not admissible for K={self.K}")
+    def _r2(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(x as floats, |x|^2) after the admissibility check; a stack of
+        points gives one |x|^2 per point."""
+        x = np.asarray(x, dtype=float)
+        r2 = (x * x).sum(axis=-1)
+        if not self._admissible(r2):
+            raise DomainError(f"point with |x|^2={np.max(r2):.3g} not admissible for K={self.K}")
+        return x, r2
 
-    def u(self, x: np.ndarray) -> float:
-        """Conformal exponent, metric = e^{2u} * delta."""
-        self._check(x)
-        r2 = float(np.dot(x, x))
+    def u(self, x: np.ndarray) -> float | np.ndarray:
+        """Conformal exponent, metric = e^{2u} * delta.
+
+        x is one point (n,) or a stack (..., n); a stack gives one value
+        per point, as do ``grad_u`` and the methods of ``Potential``.
+        """
+        _, r2 = self._r2(x)
         if self.K == 0:
-            return 0.0
+            return 0.0 * r2
         if self.K == -1:
-            return float(np.log(2.0) - np.log1p(-r2))
-        return float(np.log(2.0) - np.log1p(r2))
+            return LOG2 - np.log1p(-r2)
+        return LOG2 - np.log1p(r2)
 
     def conformal_factor(self, x: np.ndarray) -> float:
         """e^{2u}(x)."""
-        return float(np.exp(2.0 * self.u(x)))
+        return np.exp(2.0 * self.u(x))
 
     def grad_u(self, x: np.ndarray) -> np.ndarray:
         """Flat gradient of u."""
-        self._check(x)
-        x = np.asarray(x, dtype=float)
-        r2 = float(np.dot(x, x))
+        x, r2 = self._r2(x)
         if self.K == 0:
             return np.zeros_like(x)
         if self.K == -1:
-            return 2.0 * x / (1.0 - r2)
-        return -2.0 * x / (1.0 + r2)
+            return 2.0 * x / (1.0 - r2)[..., None]
+        return -2.0 * x / (1.0 + r2)[..., None]
 
 
 @dataclass(frozen=True)
@@ -137,53 +150,47 @@ class Potential:
             raise DomainError(f"direction must be a unit vector, |a|={norm}")
         object.__setattr__(self, "a", a)
 
-    def value(self, x: np.ndarray) -> float:
-        self.space_form._check(x)
-        x = np.asarray(x, dtype=float)
-        xa = float(np.dot(x, self.a))
+    def value(self, x: np.ndarray) -> float | np.ndarray:
+        x, r2 = self.space_form._r2(x)
+        xa = x @ self.a
         K = self.space_form.K
         if K == 0:
             return xa
-        r2 = float(np.dot(x, x))
         if K == -1:
             return 2.0 * xa / (1.0 - r2)
         return 2.0 * xa / (1.0 + r2)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         """Flat gradient of V_a."""
-        self.space_form._check(x)
-        x = np.asarray(x, dtype=float)
+        x, r2 = self.space_form._r2(x)
         a = self.a
         K = self.space_form.K
         if K == 0:
-            return a.copy()
-        r2 = float(np.dot(x, x))
-        xa = float(np.dot(x, a))
+            return np.broadcast_to(a, x.shape).copy()
+        xa = (x @ a)[..., None]
         if K == -1:
-            phi = 1.0 / (1.0 - r2)
+            phi = 1.0 / (1.0 - r2)[..., None]
             return 2.0 * a * phi + 4.0 * xa * x * phi**2
-        phi = 1.0 / (1.0 + r2)
+        phi = 1.0 / (1.0 + r2)[..., None]
         return 2.0 * a * phi - 4.0 * xa * x * phi**2
 
     def hess(self, x: np.ndarray) -> np.ndarray:
         """Flat Hessian of V_a."""
-        self.space_form._check(x)
-        x = np.asarray(x, dtype=float)
+        x, r2 = self.space_form._r2(x)
         a = self.a
         K = self.space_form.K
-        dim = x.size
+        dim = x.shape[-1]
         if K == 0:
-            return np.zeros((dim, dim))
-        r2 = float(np.dot(x, x))
-        xa = float(np.dot(x, a))
-        ax = np.outer(a, x)
-        xx = np.outer(x, x)
-        eye = np.eye(dim)
+            return np.zeros(x.shape + (dim,))
+        xa = (x @ a)[..., None, None]
+        ax = a[:, None] * x[..., None, :]
+        xx = x[..., :, None] * x[..., None, :]
+        sym = ax + np.swapaxes(ax, -1, -2) + xa * np.eye(dim)
         if K == -1:
-            phi = 1.0 / (1.0 - r2)
-            return 4.0 * phi**2 * (ax + ax.T + xa * eye) + 16.0 * xa * phi**3 * xx
-        phi = 1.0 / (1.0 + r2)
-        return -4.0 * phi**2 * (ax + ax.T + xa * eye) + 16.0 * xa * phi**3 * xx
+            phi = 1.0 / (1.0 - r2)[..., None, None]
+            return 4.0 * phi**2 * sym + 16.0 * xa * phi**3 * xx
+        phi = 1.0 / (1.0 + r2)[..., None, None]
+        return -4.0 * phi**2 * sym + 16.0 * xa * phi**3 * xx
 
 
 def half_ball_membership(potential: Potential, ball: BallDomain, x: np.ndarray,

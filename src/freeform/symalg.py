@@ -4,7 +4,8 @@ Elementary symmetric mean curvatures H_k, Newton tensors T_m and their
 traceless parts, Garding cones, the Newton-MacLaurin inequality and the
 sub-static tensor factorization.  Everything here acts on a single point:
 a shape operator with its metric, or just the vector of principal
-curvatures (``mean_curvatures`` also takes a stack of them).
+curvatures; ``mean_curvatures`` and ``principal_curvatures`` also take a
+stack of them along leading axes.
 """
 
 from __future__ import annotations
@@ -51,14 +52,15 @@ def _check_self_adjoint(W: np.ndarray, g: np.ndarray, tol: float = 1e-10) -> Non
 
 
 def principal_curvatures(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the shape operator g^{-1} h.
+    """Eigenvalues of the shape operator g^{-1} h, ascending; h and g may
+    be stacks (..., n, n).
 
     Solved as a symmetric problem through the Cholesky factor of g, so a
     non-orthonormal chart cannot spoil symmetry.
     """
-    L = cholesky(g, lower=True)
-    s = solve_triangular(L, solve_triangular(L, h, lower=True).T, lower=True)
-    return eigh(0.5 * (s + s.T), eigvals_only=True)
+    L = np.linalg.cholesky(g)
+    s = np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, h), -1, -2))
+    return np.linalg.eigvalsh(0.5 * (s + np.swapaxes(s, -1, -2)))
 
 
 def to_orthonormal(M: np.ndarray, g: np.ndarray, mixed: bool = True) -> np.ndarray:

@@ -34,7 +34,8 @@ def test_verify_caps_passes(capsys):
     assert sum(doc["counts"].values()) == len(doc["records"])
     for rec in doc["records"]:
         assert set(rec) == {"suite", "shape", "n", "K", "k", "lhs", "rhs",
-                            "ratio", "status", "hypotheses", "quadrature"}
+                            "ratio", "status", "hypotheses", "extra",
+                            "quadrature"}
         assert set(rec["hypotheses"]) == set(cli.HYPOTHESIS_KEYS)
         assert rec["quadrature"] == {"order": 20, "level": 1}
 
@@ -122,6 +123,22 @@ def test_verify_reilly_suite(capsys):
     assert code == cli.EXIT_PASS
     doc = json.loads(out)
     assert doc["records"][0]["status"] in ("pass", "inapplicable")
+
+
+def test_verify_reilly_records_residuals_and_fails_on_coarse_grid(capsys):
+    """The proof-chain record carries its residuals, and a residual above
+    its tolerance fails the record even where final lhs <= rhs holds."""
+    from freeform import reilly
+
+    code, out, _ = run(["verify", "reilly", "--family", "perturbed",
+                        "--count", "1", "--seed", "4", "--K", "0", "--k", "1",
+                        "--cells", "200"], capsys)
+    assert code == cli.EXIT_FAIL
+    (rec,) = json.loads(out)["records"]
+    assert rec["status"] == "fail"
+    assert set(rec["extra"]) == set(reilly.RESIDUAL_TOLS)
+    assert rec["extra"]["pde_residual"] > reilly.RESIDUAL_TOLS["pde_residual"]
+    assert rec["lhs"] <= rec["rhs"]
 
 
 def test_csv_format(capsys):
@@ -276,3 +293,12 @@ def test_cor_lowdim_cases(capsys):
     doc = json.loads(out)
     for rec in doc["records"]:
         assert rec["lhs"] == pytest.approx(2 * math.pi, rel=1e-8)
+
+
+@pytest.mark.parametrize("n,case", [("3", "i"), ("2", "ii")])
+def test_cor_lowdim_case_must_match_dimension(n, case, capsys):
+    code, out, err = run(["verify", "cor-lowdim", "--family", "caps",
+                          "--count", "1", "--n", n, "--case", case], capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert f"case ({case}) needs n=" in err

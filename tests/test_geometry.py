@@ -248,3 +248,91 @@ def test_non_umbilicity_measures():
     shape = geo.make_profile_shape(sf, ball, 1.3, r_sin={2: 1.0},
                                    z_cos={1: 0.6}, eps=0.03, n=2)
     assert geo.non_umbilicity(shape, QUAD) > 0.01
+
+
+# ---------------------------------------------------------------------------
+# stacked chart points
+
+
+def _stack_shapes():
+    """Caps, profiles, disks and closed spheres for n in {2, 3} and every K."""
+    out = []
+    for n in (2, 3):
+        for K in (-1, 0, 1):
+            sf = SpaceForm(K)
+            ball = BallDomain(sf, 0.9)
+            rho = 1.3 * ball.R_model
+            out.append((f"cap-n{n}-K{K}", geo.make_cap(sf, ball, rho, n=n)))
+            out.append((f"profile-n{n}-K{K}", geo.make_profile_shape(
+                sf, ball, rho, r_sin={2: 1.0}, z_cos={1: 0.6}, eps=0.03, n=n)))
+            out.append((f"disk-n{n}-K{K}", geo.make_flat_disk(sf, ball, n=n)))
+            out.append((f"closed-n{n}-K{K}", geo.make_closed_sphere(
+                sf, 0.8, cos_coeffs=[0.5, -0.3, 0.2], eps=0.02, n=n)))
+    return out
+
+
+STACK_SHAPES = _stack_shapes()
+
+
+def _chart_points(n, count=7, seed=0):
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.3, 2.8, size=(count, n))
+    p[:, 0] = rng.uniform(0.05, 0.95, size=count)
+    return p
+
+
+def _assert_stack(stacked, points, single):
+    looped = np.array([single(q) for q in points])
+    np.testing.assert_allclose(stacked, looped, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("label,shape", STACK_SHAPES, ids=[s[0] for s in STACK_SHAPES])
+def test_stacked_frame_matches_single_points(label, shape):
+    sf = shape.space_form
+    p = _chart_points(shape.n)
+    fr = geo.frame_at(shape, sf, p)
+    singles = [geo.frame_at(shape, sf, q) for q in p]
+    for name in ("x", "J", "g", "g_inv", "h", "nu_flat", "kappa",
+                 "sqrt_det_g", "e_u"):
+        stacked = getattr(fr, name)
+        assert np.shape(stacked)[0] == len(p)
+        looped = np.array([getattr(s, name) for s in singles])
+        np.testing.assert_allclose(stacked, looped, rtol=1e-13, atol=1e-13,
+                                   err_msg=name)
+    np.testing.assert_allclose(
+        geo.christoffels(shape, sf, fr),
+        np.array([geo.christoffels(shape, sf, s) for s in singles]),
+        rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("label,shape", STACK_SHAPES, ids=[s[0] for s in STACK_SHAPES])
+def test_stacked_chart_maps_match_single_points(label, shape):
+    p = _chart_points(shape.n, seed=1)
+    for method in (shape.map, shape.jac, shape.hess):
+        _assert_stack(method(p), p, method)
+    _assert_stack(shape.area_density(p[:, 0]), p[:, 0], shape.area_density)
+    np.testing.assert_allclose(shape._generic_point(p[:, 0]),
+                               [shape._generic_point(t) for t in p[:, 0]])
+
+
+@pytest.mark.parametrize("K", [-1, 0, 1])
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_space_form_and_potential_match_single_points(K, n):
+    from freeform.spaceform import Potential
+
+    sf = SpaceForm(K)
+    rng = np.random.default_rng(K + 10 * n)
+    x = rng.uniform(-0.5, 0.5, size=(6, n + 1))
+    a = rng.normal(size=n + 1)
+    pot = Potential(sf, a / np.linalg.norm(a))
+    for fn in (sf.u, sf.grad_u, pot.value, pot.grad, pot.hess):
+        _assert_stack(fn(x), x, fn)
+
+
+def test_stacked_frame_with_one_degenerate_point_raises():
+    cap = euclid_cap(rho=1.2, n=3)
+    p = _chart_points(3)
+    p[4, 0] = 0.0  # the orbit collapses on the axis
+    with pytest.raises(geo.DegenerateImmersionError):
+        geo.frame_at(cap, cap.space_form, p)
+    geo.frame_at(cap, cap.space_form, np.delete(p, 4, axis=0))

@@ -260,3 +260,60 @@ def _fake_low_dim():
     class Stub:
         n = 1
     return Stub()
+
+
+def test_solve_neumann_uses_few_stacked_frames(monkeypatch):
+    """The coefficients come from stacked frames: centres, edges and
+    collocation points, not one frame per grid point."""
+    shape = perturbed(K=1, R=0.9, eps=0.03, n=3)
+    pot = Potential(shape.space_form, shape.axis)
+    calls = []
+    frame_at = geo.frame_at
+
+    def counting(immersion, space_form, p):
+        calls.append(np.shape(p))
+        return frame_at(immersion, space_form, p)
+
+    monkeypatch.setattr(geo, "frame_at", counting)
+    sol = reilly.solve_neumann(shape, reilly.ChartField.from_potential(shape, pot),
+                               lambda fr: np.zeros(len(fr.x)), n_cells=400)
+    assert len(calls) <= 4
+    assert sum(s[0] for s in calls) >= 2 * 400
+    assert sol.pde_residual <= 1e-6
+
+
+def test_solve_neumann_rejects_non_symmetric_shape():
+    sf, ball = unit_ball()
+    cap = geo.make_cap(sf, ball, 1.3, n=2)
+    generic = geo.GenericImmersion(2, sf, ball, cap.map)
+    with pytest.raises(reilly.SolverError):
+        reilly.solve_neumann(generic, unit_field(2), lambda fr: np.zeros(len(fr.x)))
+
+
+@pytest.mark.parametrize("K", [-1, 0, 1])
+def test_stacked_field_operators_match_single_points(K):
+    shape = perturbed(K=K, R=0.9, eps=0.03, n=3)
+    sf = shape.space_form
+    fields = (reilly.ChartField.from_potential(shape, Potential(sf, shape.axis)),
+              smooth_profile_field(n=3))
+    p = np.array([shape._generic_point(t) for t in (0.1, 0.4, 0.75, 1.0)])
+    fr = geo.frame_at(shape, sf, p)
+    singles = [geo.frame_at(shape, sf, q) for q in p]
+    for field in fields:
+        for stacked, single in (
+                (field.value(p), [field.value(q) for q in p]),
+                (field.d1(p), [field.d1(q) for q in p]),
+                (field.d2(p), [field.d2(q) for q in p]),
+                (field.gradient(shape, fr), [field.gradient(shape, s) for s in singles]),
+                (field.hessian(shape, fr), [field.hessian(shape, s) for s in singles]),
+                (field.laplacian(shape, fr), [field.laplacian(shape, s) for s in singles])):
+            np.testing.assert_allclose(stacked, np.array(single), rtol=1e-12, atol=1e-12)
+
+
+def test_proof_chain_residual_tolerances():
+    shape = perturbed(eps=0.03)
+    rep = reilly.proof_chain_check(shape, None, 1, QUAD, n_cells=2000)
+    assert set(rep.residuals) == set(reilly.RESIDUAL_TOLS)
+    assert rep.residuals_ok
+    rep.pde_residual = 2 * reilly.RESIDUAL_TOLS["pde_residual"]
+    assert not rep.residuals_ok

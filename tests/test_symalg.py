@@ -184,3 +184,19 @@ def test_substatic_tensor_symmetric_in_general():
     g, h, W = random_metric_pair(rng, 4)
     M = symalg.substatic_tensor(h, g, 0.9, -0.2)
     np.testing.assert_allclose(M, M.T, atol=1e-12)
+
+
+def test_principal_curvatures_stacked_matches_single():
+    rng = np.random.default_rng(5)
+    n = 3
+    A = rng.normal(size=(8, n, n))
+    g = A @ np.swapaxes(A, -1, -2) + n * np.eye(n)
+    B = rng.normal(size=(8, n, n))
+    h = B + np.swapaxes(B, -1, -2)
+    stacked = symalg.principal_curvatures(h, g)
+    assert stacked.shape == (8, n)
+    looped = np.array([symalg.principal_curvatures(hi, gi) for hi, gi in zip(h, g)])
+    np.testing.assert_allclose(stacked, looped, rtol=1e-13, atol=1e-13)
+    for hi, gi, kappa in zip(h, g, stacked):
+        expected = np.sort(np.linalg.eigvals(np.linalg.solve(gi, hi)).real)
+        np.testing.assert_allclose(kappa, expected, rtol=1e-10, atol=1e-12)
